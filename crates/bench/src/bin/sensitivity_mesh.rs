@@ -62,9 +62,6 @@ fn main() {
             let run = |interconnect, scheme| {
                 let mut cfg = SimConfig::new(interconnect, scheme);
                 cfg.cmp = cmp.clone();
-                if opts.sim_threads.is_some() {
-                    cfg.sim_threads = opts.sim_threads;
-                }
                 let mut sim = CmpSimulator::new(cfg, app, opts.seed, opts.scale);
                 sim.run()
                     .unwrap_or_else(|e| panic!("{} {side}x{side}: {e}", app.name))

@@ -27,7 +27,6 @@
 
 pub mod calendar;
 pub mod clocked;
-pub mod epoch;
 pub mod error;
 pub mod faults;
 pub mod ports;
@@ -39,7 +38,6 @@ pub mod watchdog;
 
 pub use calendar::Calendar;
 pub use clocked::Clocked;
-pub use epoch::lookahead_window;
 pub use error::{OldestInFlight, SimError, StateDump, TileDump, TileStall};
 pub use ports::TilePorts;
 pub use profile::PhaseProfile;
@@ -71,7 +69,6 @@ use workloads::profile::AppProfile;
 use crate::niface::{map_channel, InterconnectChoice, ResyncStats, ResyncTracker};
 
 use calendar::DelayedEvent;
-use epoch::{ParState, Shards, PAR_MIN_ITEMS};
 
 /// Everything a run needs to know.
 #[derive(Clone, Debug)]
@@ -101,15 +98,6 @@ pub struct SimConfig {
     /// [`SimError::NoForwardProgress`] instead of spinning to
     /// `max_cycles`.
     pub watchdog: Option<WatchdogConfig>,
-    /// Worker threads for the [`epoch`] scheduler (`None` or `Some(1)` =
-    /// the serial scheduler). Results are bit-identical for every value —
-    /// only wall-clock time changes. Clamped to the tile count; a run
-    /// with a fault campaign enabled always steps serially, because fault
-    /// injection is one global serialized decision stream.
-    /// [`SimConfig::new`] defaults it from the `TCMP_SIM_THREADS`
-    /// environment variable (the CI hook that replays the determinism
-    /// goldens under the parallel scheduler).
-    pub sim_threads: Option<usize>,
 }
 
 impl SimConfig {
@@ -119,7 +107,6 @@ impl SimConfig {
     /// suite with sweeps enabled).
     pub fn new(interconnect: InterconnectChoice, scheme: CompressionScheme) -> Self {
         let sanitizer = sanitize_from_env();
-        let sim_threads = sim_threads_from_env();
         SimConfig {
             cmp: CmpConfig::default(),
             interconnect,
@@ -129,34 +116,12 @@ impl SimConfig {
             faults: FaultConfig::none(),
             sanitizer,
             watchdog: Some(WatchdogConfig::default()),
-            sim_threads,
         }
     }
 
     /// The paper's baseline: 75-byte B-Wire links, no compression.
     pub fn baseline() -> Self {
         Self::new(InterconnectChoice::Baseline, CompressionScheme::None)
-    }
-}
-
-/// Parse a `TCMP_SIM_THREADS` value: a positive integer. Pure so the
-/// accepted forms are testable; the error message is what the one-shot
-/// stderr warning prints.
-pub(crate) fn parse_sim_threads(v: &str) -> Result<Option<usize>, String> {
-    let v = v.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        Ok(_) => Err(format!(
-            "TCMP_SIM_THREADS={v:?} is not a positive integer; accepted: an integer >= 1 \
-             (1 = serial); ignoring it"
-        )),
-        Err(_) => Err(format!(
-            "TCMP_SIM_THREADS={v:?} is not an integer; accepted: an integer >= 1 \
-             (1 = serial); ignoring it"
-        )),
     }
 }
 
@@ -202,9 +167,7 @@ fn warn_env_once(flag: &'static AtomicBool, warning: &str) {
     }
 }
 
-static SIM_THREADS_ENV_WARNED: AtomicBool = AtomicBool::new(false);
 static SANITIZE_ENV_WARNED: AtomicBool = AtomicBool::new(false);
-static FAULT_SERIAL_WARNED: AtomicBool = AtomicBool::new(false);
 static PROFILE_ENV_WARNED: AtomicBool = AtomicBool::new(false);
 
 /// The `TCMP_PROFILE` gate. A malformed value warns once on stderr and
@@ -217,22 +180,6 @@ fn profile_from_env() -> bool {
         Err(warning) => {
             warn_env_once(&PROFILE_ENV_WARNED, &warning);
             true
-        }
-    }
-}
-
-/// The `TCMP_SIM_THREADS` override, if set to a positive integer. Also
-/// consulted by the matrix drivers so their worker-pool sizing accounts
-/// for the scheduler threads each run will spawn. A malformed value is
-/// ignored — loudly, with a one-shot stderr warning, instead of the
-/// silent fallback it used to be.
-pub(crate) fn sim_threads_from_env() -> Option<usize> {
-    let v = std::env::var("TCMP_SIM_THREADS").ok()?;
-    match parse_sim_threads(&v) {
-        Ok(n) => n,
-        Err(warning) => {
-            warn_env_once(&SIM_THREADS_ENV_WARNED, &warning);
-            None
         }
     }
 }
@@ -291,11 +238,6 @@ pub struct Engine {
     // --- reusable scratch buffers (hot-loop allocation sinks) ---
     pub(crate) delivered_scratch: Vec<Delivered<ProtocolMsg>>,
     pub(crate) due_scratch: Vec<u32>,
-    /// Epoch-scheduler state (pool, owner map, effect slots); `None` on
-    /// the serial path. Host-side execution strategy only — deliberately
-    /// outside [`MachineSnapshot`], so snapshots transplant across thread
-    /// counts.
-    pub(crate) par: Option<Box<ParState>>,
     /// Per-phase wall-clock attribution; `None` unless enabled via
     /// [`Engine::enable_profiling`] or `TCMP_PROFILE=1`. Host-side
     /// measurement only — outside [`MachineSnapshot`].
@@ -366,17 +308,6 @@ impl Engine {
             .then(|| FaultInjector::new(cfg.faults.clone()));
         let sanitizer = cfg.sanitizer.map(Sanitizer::new);
         let next_sweep = cfg.sanitizer.map_or(Cycle::MAX, |s| s.period);
-        let threads = cfg.sim_threads.unwrap_or(1).clamp(1, tiles);
-        if threads > 1 && injector.is_some() {
-            warn_env_once(
-                &FAULT_SERIAL_WARNED,
-                "fault campaign enabled: falling back to the serial scheduler \
-                 (--sim-threads ignored) — fault injection is one global serialized \
-                 decision stream, so parallel epochs would break seed-reproducibility",
-            );
-        }
-        let par = (threads > 1 && injector.is_none())
-            .then(|| Box::new(ParState::new(threads, tiles, noc.config())));
         Engine {
             app_name: app.name.to_string(),
             tiles: tile_row,
@@ -396,7 +327,6 @@ impl Engine {
             drop_data_replies: false,
             delivered_scratch: Vec::new(),
             due_scratch: Vec::new(),
-            par,
             profile: profile_from_env().then(Box::default),
             cfg,
         }
@@ -414,18 +344,6 @@ impl Engine {
     /// The accumulated phase profile, if profiling is enabled.
     pub fn phase_profile(&self) -> Option<&PhaseProfile> {
         self.profile.as_deref()
-    }
-
-    /// Worker threads the scheduler actually runs with (1 = serial).
-    pub fn sim_threads(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.pool.threads())
-    }
-
-    /// The parallel scheduler's conservative cross-tile lookahead in
-    /// cycles (`None` when stepping serially): the bound from
-    /// [`lookahead_window`] that licenses per-cycle epochs.
-    pub fn epoch_lookahead(&self) -> Option<Cycle> {
-        self.par.as_ref().map(|p| p.lookahead)
     }
 
     /// Current simulated cycle.
@@ -835,9 +753,7 @@ impl Engine {
             .is_some_and(|w| w.check_due(self.iters))
         {
             let instructions = self.total_instructions();
-            // Summed across the per-partition (per-sub-network) delivery
-            // counters — cheap, and thread-count-invariant by fixed-order
-            // merge.
+            // Summed across the per-sub-network delivery counters — cheap.
             let delivered = self.noc.delivered_total();
             let iters = self.iters;
             let now = self.now;
@@ -866,16 +782,8 @@ impl Engine {
             }
         }
         // 1.–4. the per-cycle phases: memory completions, delayed sends,
-        // network, cores. The serial and epoch-parallel schedulers are
-        // interchangeable here — the parallel one partitions each phase
-        // by owner tile and merges side effects back in the serial order,
-        // so every observable (including the determinism goldens) is
-        // bit-identical for any thread count.
-        if self.par.is_some() {
-            self.step_phases_par()?;
-        } else {
-            self.step_phases_serial()?;
-        }
+        // network, cores.
+        self.step_phases()?;
         // 5. advance
         let m = profile::Mark::start(self.profile.is_some());
         let next = self.next_interesting();
@@ -899,10 +807,9 @@ impl Engine {
         }
     }
 
-    /// Phases 1–4 of one iteration, serial: the original single-threaded
-    /// drain. Also the only path a fault campaign runs on (injection is
-    /// one global serialized decision stream).
-    fn step_phases_serial(&mut self) -> Result<(), SimError> {
+    /// Phases 1–4 of one iteration: drain everything due at `self.now`
+    /// in a fixed order, so every run is a pure function of its inputs.
+    fn step_phases(&mut self) -> Result<(), SimError> {
         let profiling = self.profile.is_some();
         // 1. memory completions (each reply consults the fault injector
         //    when a campaign is live — the off-chip reply path)
@@ -973,393 +880,6 @@ impl Engine {
         }
         self.prof(m, |p| &mut p.cores_ns);
         self.due_scratch = due;
-        Ok(())
-    }
-
-    /// Phases 1–4 of one iteration on the [`epoch`] scheduler: each
-    /// phase's items are collected on worker threads (partitioned by
-    /// owner tile) and their side effects merged serially in the exact
-    /// order `step_phases_serial` would have produced them.
-    fn step_phases_par(&mut self) -> Result<(), SimError> {
-        let mut par = self.par.take().expect("parallel scheduler state");
-        // Coarser attribution than the serial path: each parallel phase
-        // lands whole in one bucket (the network phase includes its
-        // serial-order delivery merge, so L1/L2 handler time shows up
-        // under `noc_tick` here).
-        let profiling = self.profile.is_some();
-        let m = profile::Mark::start(profiling);
-        let mut result = self.par_phase_fills(&mut par);
-        self.prof(m, |p| &mut p.mem_fills_ns);
-        if result.is_ok() {
-            let m = profile::Mark::start(profiling);
-            result = self.par_phase_events(&mut par);
-            self.prof(m, |p| &mut p.calendar_ns);
-        }
-        if result.is_ok() {
-            let m = profile::Mark::start(profiling);
-            result = self.par_phase_network(&mut par);
-            self.prof(m, |p| &mut p.noc_tick_ns);
-        }
-        if result.is_ok() {
-            let m = profile::Mark::start(profiling);
-            result = self.par_phase_cores(&mut par);
-            self.prof(m, |p| &mut p.cores_ns);
-        }
-        self.par = Some(par);
-        result
-    }
-
-    /// Phase 1, parallel: memory completions, collected per owner bank,
-    /// merged in pop order.
-    fn par_phase_fills(&mut self, par: &mut ParState) -> Result<(), SimError> {
-        par.fills.clear();
-        while let Some(r) = self.mem.pop_next_ready(self.now) {
-            par.fills.push(r);
-        }
-        let n = par.fills.len();
-        if n == 0 {
-            return Ok(());
-        }
-        par.ensure_slots(n);
-        {
-            let ParState {
-                ref pool,
-                ref owner,
-                ref fills,
-                ref mut slots,
-                ..
-            } = *par;
-            if n >= PAR_MIN_ITEMS {
-                let banks = Shards::new(&mut self.l2s[..]);
-                let slots = Shards::new(&mut slots[..n]);
-                pool.run(|w| {
-                    for (i, r) in fills.iter().enumerate() {
-                        if owner[r.tile.index()] as usize != w {
-                            continue;
-                        }
-                        // SAFETY: the owner map assigns each bank — and
-                        // therefore each item index — to one worker.
-                        let bank = unsafe { banks.get_mut(r.tile.index()) };
-                        let fx = unsafe { slots.get_mut(i) };
-                        if let Err(e) = epoch::mem_fill_into(bank, r.line, fx) {
-                            fx.error = Some(e);
-                        }
-                    }
-                });
-            } else {
-                for (r, fx) in fills.iter().zip(slots.iter_mut()) {
-                    if let Err(e) = epoch::mem_fill_into(&mut self.l2s[r.tile.index()], r.line, fx)
-                    {
-                        fx.error = Some(e);
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            let r = par.fills[i];
-            let fx = &mut par.slots[i];
-            if let Some(e) = fx.error.take() {
-                return Err(self.protocol_error(e));
-            }
-            TilePorts::new(r.tile, self.now, &mut self.calendar, &mut self.mem)
-                .route_slice(&fx.outs);
-            self.sync_bank(r.tile.index());
-        }
-        Ok(())
-    }
-
-    /// Phase 2, parallel: delayed sends due now, collected per source
-    /// tile (a local event delivers into its own tile/bank; a remote one
-    /// runs the sender NI), merged in `(cycle, seq)` order with the
-    /// cycle's outbound batch injected in merge order. Local deliveries
-    /// can schedule follow-up sends due this same cycle, so the drain
-    /// loops; every later round carries strictly higher sequence numbers,
-    /// so round concatenation reproduces the serial firing order exactly.
-    fn par_phase_events(&mut self, par: &mut ParState) -> Result<(), SimError> {
-        loop {
-            par.events.clear();
-            while let Some(ev) = self.calendar.pop_delayed_due(self.now) {
-                par.events.push(ev);
-            }
-            let n = par.events.len();
-            if n == 0 {
-                return Ok(());
-            }
-            par.ensure_slots(n);
-            let interconnect = self.cfg.interconnect;
-            let drop_replies = self.drop_data_replies;
-            let now = self.now;
-            {
-                let ParState {
-                    ref pool,
-                    ref owner,
-                    ref events,
-                    ref mut slots,
-                    ..
-                } = *par;
-                if n >= PAR_MIN_ITEMS {
-                    let tiles = Shards::new(&mut self.tiles[..]);
-                    let banks = Shards::new(&mut self.l2s[..]);
-                    let slots = Shards::new(&mut slots[..n]);
-                    pool.run(|w| {
-                        for (i, ev) in events.iter().enumerate() {
-                            let s = ev.src.index();
-                            if owner[s] as usize != w {
-                                continue;
-                            }
-                            // SAFETY: an event touches only its source
-                            // tile's state (local events have dst == src),
-                            // and each tile is owned by one worker.
-                            let tile = unsafe { tiles.get_mut(s) };
-                            let bank = unsafe { banks.get_mut(s) };
-                            let fx = unsafe { slots.get_mut(i) };
-                            if let Err(e) = epoch::fire_into(
-                                tile,
-                                bank,
-                                interconnect,
-                                drop_replies,
-                                now,
-                                ev,
-                                fx,
-                            ) {
-                                fx.error = Some(e);
-                            }
-                        }
-                    });
-                } else {
-                    for (ev, fx) in events.iter().zip(slots.iter_mut()) {
-                        let s = ev.src.index();
-                        if let Err(e) = epoch::fire_into(
-                            &mut self.tiles[s],
-                            &mut self.l2s[s],
-                            interconnect,
-                            drop_replies,
-                            now,
-                            ev,
-                            fx,
-                        ) {
-                            fx.error = Some(e);
-                        }
-                    }
-                }
-            }
-            {
-                let ParState {
-                    ref events,
-                    ref mut slots,
-                    ref mut outbound,
-                    ..
-                } = *par;
-                outbound.clear();
-                for i in 0..n {
-                    let ev = events[i];
-                    let fx = &mut slots[i];
-                    if let Some(e) = fx.error.take() {
-                        return Err(self.protocol_error(e));
-                    }
-                    if ev.src == ev.dst {
-                        TilePorts::new(ev.dst, self.now, &mut self.calendar, &mut self.mem)
-                            .route_slice(&fx.outs);
-                        if fx.bank_touched {
-                            self.sync_bank(ev.dst.index());
-                        }
-                        if fx.refresh {
-                            self.refresh_core(ev.dst.index());
-                        }
-                    }
-                    // moves the batch, leaving fx.msgs empty with its
-                    // capacity intact for the next iteration
-                    outbound.append(&mut fx.msgs);
-                }
-            }
-            if let Err((i, e)) = self.noc.inject_batch(self.now, &mut par.outbound) {
-                let m = &par.outbound[i];
-                return Err(self.protocol_error(ProtocolError::internal(
-                    m.src,
-                    m.payload.line,
-                    e.to_string(),
-                )));
-            }
-        }
-    }
-
-    /// Phase 3, parallel: tick the sub-networks (each advances on its own
-    /// stats/energy accumulators) and deliver arrivals per destination
-    /// tile, drained and merged in sub-network index order — exactly
-    /// [`Noc::tick_into`]'s order.
-    fn par_phase_network(&mut self, par: &mut ParState) -> Result<(), SimError> {
-        // Held-release mutates shared injection state: stays serial.
-        self.noc.release_held(self.now);
-        let now = self.now;
-        {
-            let (subnets, rem) = self.noc.subnets_mut();
-            let active = subnets.iter().filter(|s| s.has_work(now)).count();
-            if active >= 2 {
-                let len = subnets.len();
-                let threads = par.pool.threads();
-                let sh = Shards::new(subnets);
-                par.pool.run(|w| {
-                    for i in 0..len {
-                        if i % threads != w {
-                            continue;
-                        }
-                        // SAFETY: sub-network i is owned by one worker.
-                        let s = unsafe { sh.get_mut(i) };
-                        if s.has_work(now) {
-                            s.tick(now, rem);
-                        }
-                    }
-                });
-            } else {
-                for s in subnets.iter_mut() {
-                    if s.has_work(now) {
-                        s.tick(now, rem);
-                    }
-                }
-            }
-        }
-        par.arrivals.clear();
-        {
-            let (subnets, _) = self.noc.subnets_mut();
-            for s in subnets.iter_mut() {
-                s.drain_delivered_into(&mut par.arrivals);
-            }
-        }
-        let n = par.arrivals.len();
-        if n == 0 {
-            return Ok(());
-        }
-        par.ensure_slots(n);
-        {
-            let ParState {
-                ref pool,
-                ref owner,
-                ref arrivals,
-                ref mut slots,
-                ..
-            } = *par;
-            if n >= PAR_MIN_ITEMS {
-                let tiles = Shards::new(&mut self.tiles[..]);
-                let banks = Shards::new(&mut self.l2s[..]);
-                let slots = Shards::new(&mut slots[..n]);
-                pool.run(|w| {
-                    for (i, d) in arrivals.iter().enumerate() {
-                        let t = d.message.dst.index();
-                        if owner[t] as usize != w {
-                            continue;
-                        }
-                        // SAFETY: a delivery touches only the destination
-                        // tile/bank, owned by one worker.
-                        let tile = unsafe { tiles.get_mut(t) };
-                        let bank = unsafe { banks.get_mut(t) };
-                        let fx = unsafe { slots.get_mut(i) };
-                        if let Err(e) = epoch::deliver_into(
-                            tile,
-                            bank,
-                            now,
-                            d.message.src,
-                            d.message.payload,
-                            fx,
-                        ) {
-                            fx.error = Some(e);
-                        }
-                    }
-                });
-            } else {
-                for (d, fx) in arrivals.iter().zip(slots.iter_mut()) {
-                    let t = d.message.dst.index();
-                    if let Err(e) = epoch::deliver_into(
-                        &mut self.tiles[t],
-                        &mut self.l2s[t],
-                        now,
-                        d.message.src,
-                        d.message.payload,
-                        fx,
-                    ) {
-                        fx.error = Some(e);
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            let dst = par.arrivals[i].message.dst;
-            let fx = &mut par.slots[i];
-            if let Some(e) = fx.error.take() {
-                return Err(self.protocol_error(e));
-            }
-            TilePorts::new(dst, self.now, &mut self.calendar, &mut self.mem).route_slice(&fx.outs);
-            if fx.bank_touched {
-                self.sync_bank(dst.index());
-            }
-            if fx.refresh {
-                self.refresh_core(dst.index());
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase 4, parallel: step the cores due now, collected per tile and
-    /// merged in ascending tile order. Barrier arrivals are replayed at
-    /// the merge, so the release sweep happens exactly where the serial
-    /// scheduler put it — at the last arriving tile.
-    fn par_phase_cores(&mut self, par: &mut ParState) -> Result<(), SimError> {
-        self.calendar.drain_cores_due(self.now, &mut par.due);
-        let n = par.due.len();
-        if n == 0 {
-            return Ok(());
-        }
-        par.ensure_slots(n);
-        let now = self.now;
-        {
-            let ParState {
-                ref pool,
-                ref owner,
-                ref due,
-                ref mut slots,
-                ..
-            } = *par;
-            if n >= PAR_MIN_ITEMS {
-                let tiles = Shards::new(&mut self.tiles[..]);
-                let slots = Shards::new(&mut slots[..n]);
-                pool.run(|w| {
-                    for (i, &t) in due.iter().enumerate() {
-                        let t = t as usize;
-                        if owner[t] as usize != w {
-                            continue;
-                        }
-                        // SAFETY: one worker per tile.
-                        let tile = unsafe { tiles.get_mut(t) };
-                        let fx = unsafe { slots.get_mut(i) };
-                        epoch::step_core_into(tile, now, fx);
-                    }
-                });
-            } else {
-                for (&t, fx) in due.iter().zip(slots.iter_mut()) {
-                    epoch::step_core_into(&mut self.tiles[t as usize], now, fx);
-                }
-            }
-        }
-        for i in 0..n {
-            let t = par.due[i] as usize;
-            let fx = &mut par.slots[i];
-            TilePorts::new(TileId::from(t), self.now, &mut self.calendar, &mut self.mem)
-                .route_slice(&fx.outs);
-            if let Some(id) = fx.barrier.take() {
-                if self.barrier.arrive(t, id) {
-                    for p in 0..self.tiles.len() {
-                        if self.tiles[p].parked {
-                            self.tiles[p].core.barrier_release(self.now);
-                            self.tiles[p].parked = false;
-                            self.refresh_core(p);
-                        }
-                    }
-                }
-            }
-            if fx.finished {
-                self.cores_unfinished -= 1;
-            }
-            self.refresh_core(t);
-        }
         Ok(())
     }
 

@@ -72,11 +72,6 @@ pub struct RunPolicy {
     /// the in-process analogue of killing the campaign mid-flight,
     /// used by the resume tests (`None` = run everything).
     pub cell_limit: Option<usize>,
-    /// Scheduler threads *inside* each cell (the epoch scheduler's
-    /// `--sim-threads`; `None` keeps the config's own setting). Results
-    /// are bit-identical for every value. The matrix driver shrinks its
-    /// worker pool so `jobs × sim_threads` stays within the machine.
-    pub sim_threads: Option<usize>,
 }
 
 impl Default for RunPolicy {
@@ -89,7 +84,6 @@ impl Default for RunPolicy {
             snapshot_period: None,
             forensics: false,
             cell_limit: None,
-            sim_threads: None,
         }
     }
 }
@@ -141,9 +135,6 @@ pub fn run_supervised(
 ) -> Result<SimResult, SupervisedFailure> {
     if let Some(budget) = policy.cycle_budget {
         cfg.max_cycles = cfg.max_cycles.min(budget);
-    }
-    if policy.sim_threads.is_some() {
-        cfg.sim_threads = policy.sim_threads;
     }
     let mut sim = CmpSimulator::new(cfg, app, seed, scale);
     supervise(&mut sim, policy)
@@ -197,13 +188,9 @@ impl WarmStart {
 /// that shapes its simulation prefix — the full [`SimConfig`] (machine,
 /// interconnect, scheme, fault campaign, sanitizer, watchdog and cycle
 /// cap, via its `Debug` rendering), the app, the trace seed and the
-/// scale — paired with the warm-point cycle. `sim_threads` is excluded:
-/// it is a host-side execution strategy, bit-identical by construction,
-/// and snapshots deliberately transplant across thread counts.
+/// scale — paired with the warm-point cycle.
 pub fn warm_key(cfg: &SimConfig, app: &AppProfile, seed: u64, scale: f64, warm: Cycle) -> WarmKey {
-    let mut kc = cfg.clone();
-    kc.sim_threads = None;
-    let desc = format!("{kc:?}|app={}|seed={seed:#x}|scale={scale:?}", app.name);
+    let desc = format!("{cfg:?}|app={}|seed={seed:#x}|scale={scale:?}", app.name);
     (fingerprint(&desc), warm)
 }
 
@@ -228,9 +215,6 @@ pub fn run_supervised_cached(
 ) -> Result<(SimResult, WarmStart), SupervisedFailure> {
     if let Some(budget) = policy.cycle_budget {
         cfg.max_cycles = cfg.max_cycles.min(budget);
-    }
-    if policy.sim_threads.is_some() {
-        cfg.sim_threads = policy.sim_threads;
     }
     let Some((cache, warm_cycles)) = cache.filter(|&(_, w)| w > 0) else {
         let mut sim = CmpSimulator::new(cfg, app, seed, scale);
@@ -660,7 +644,7 @@ pub fn run_matrix_supervised(
         pending.truncate(limit);
     }
 
-    let threads = crate::experiment::matrix_worker_threads(jobs, policy.sim_threads, pending.len());
+    let threads = crate::experiment::matrix_worker_threads(jobs, pending.len());
     let next = AtomicUsize::new(0);
     let slots = Mutex::new(slots);
 

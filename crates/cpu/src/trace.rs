@@ -37,9 +37,10 @@ impl TraceOp {
 }
 
 /// A streaming producer of trace operations. Generators implement this to
-/// avoid materialising multi-million-op traces. `Send` because the epoch
-/// scheduler steps cores (and therefore pulls from their op sources) on
-/// worker threads.
+/// avoid materialising multi-million-op traces. `Send` because a core
+/// (and so its op source) lives inside whole simulators and machine
+/// snapshots, which matrix and campaign-service workers own and share
+/// across threads.
 pub trait OpSource: Send {
     /// The next operation, or `None` when the stream ends.
     fn next_op(&mut self) -> Option<TraceOp>;

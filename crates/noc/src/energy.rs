@@ -72,8 +72,7 @@ impl NocEnergy {
     /// Add another accumulator's totals into this one. Each sub-network
     /// owns its accumulator and [`crate::network::Noc::energy`] sums them
     /// in fixed sub-network order, so the floating-point addition order —
-    /// and therefore the reported joules, to the last ulp — does not
-    /// depend on the number of simulation threads.
+    /// and therefore the reported joules, to the last ulp — is fixed.
     pub fn accumulate(&mut self, other: &NocEnergy) {
         self.link_dynamic += other.link_dynamic;
         self.router_dynamic += other.router_dynamic;

@@ -66,10 +66,8 @@ impl NocStats {
     }
 
     /// Fold another instance's counts into this one. Sub-networks own
-    /// their statistics (so a parallel tick never shares an accumulator);
-    /// [`crate::network::Noc::stats`] merges them in fixed sub-network
-    /// order, which keeps every derived figure independent of how many
-    /// worker threads advanced the network.
+    /// their statistics; [`crate::network::Noc::stats`] merges them in
+    /// fixed sub-network order.
     pub fn merge(&mut self, other: &NocStats) {
         for (a, b) in self.per_class.iter_mut().zip(&other.per_class) {
             a.count.add(b.count.get());

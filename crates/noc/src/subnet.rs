@@ -147,12 +147,11 @@ pub struct SubNet<P> {
     live_msgs: usize,
     delivered: Vec<Delivered<P>>,
     /// Dynamic energy burned in this sub-network. Owned here — not shared
-    /// with siblings — so parallel sub-network ticks never interleave f64
-    /// additions; [`crate::network::Noc::energy`] sums the accumulators in
-    /// fixed sub-network order.
+    /// with siblings — and summed by [`crate::network::Noc::energy`] in
+    /// fixed sub-network order, so the f64 total's bits depend only on
+    /// the simulated traffic.
     energy: NocEnergy,
-    /// Delivery/flit statistics, owned per sub-network for the same
-    /// thread-count-invariance reason as `energy`.
+    /// Delivery/flit statistics, owned per sub-network like `energy`.
     stats: NocStats,
     /// Flits buffered across all routers (Σ `flits_buffered`): while any
     /// flit sits in a buffer the sub-network may act next cycle, so the
@@ -235,53 +234,31 @@ impl<P> SubNet<P> {
 
     /// Queue a message for injection at its source tile.
     pub fn inject(&mut self, now: Cycle, msg: Message<P>) {
-        let src = msg.src;
-        self.inject_run(now, src, 1, &mut std::iter::once(msg));
-    }
-
-    /// Queue a run of same-source messages in order — the batched ingress
-    /// path the epoch merge uses, so one cycle's traffic from a (src, dst)
-    /// pair moves as a slice instead of message-at-a-time. The source's NI
-    /// queue grows once for the whole run; behaviour is identical to
-    /// calling [`SubNet::inject`] on each message in sequence.
-    pub fn inject_run(
-        &mut self,
-        now: Cycle,
-        src: TileId,
-        len: usize,
-        msgs: &mut impl Iterator<Item = Message<P>>,
-    ) {
-        let s = src.index();
-        self.inj_queues[s].reserve(len);
-        for msg in msgs.take(len) {
-            debug_assert_eq!(msg.src, src, "run must share its source tile");
-            debug_assert!(msg.src != msg.dst, "self-messages bypass the network");
-            let flits_total = self.spec.channel.flits(msg.wire_bytes) as u32;
-            let entry = InFlight {
-                injected_at: now,
-                flits_total,
-                flits_ejected: 0,
-                dst: msg.dst,
-                wire_bytes: msg.wire_bytes,
-                msg: Some(msg),
-            };
-            let slot = match self.free_slots.pop() {
-                Some(s) => {
-                    self.slab[s as usize] = Some(entry);
-                    s
-                }
-                None => {
-                    self.slab.push(Some(entry));
-                    (self.slab.len() - 1) as u32
-                }
-            };
-            self.inj_queues[s].push_back(slot);
-            self.live_msgs += 1;
-            self.inject_pending += 1;
-        }
-        if !self.inj_queues[s].is_empty() {
-            set_bit(&mut self.inj_active, s);
-        }
+        debug_assert!(msg.src != msg.dst, "self-messages bypass the network");
+        let s = msg.src.index();
+        let flits_total = self.spec.channel.flits(msg.wire_bytes) as u32;
+        let entry = InFlight {
+            injected_at: now,
+            flits_total,
+            flits_ejected: 0,
+            dst: msg.dst,
+            wire_bytes: msg.wire_bytes,
+            msg: Some(msg),
+        };
+        let slot = match self.free_slots.pop() {
+            Some(s) => {
+                self.slab[s as usize] = Some(entry);
+                s
+            }
+            None => {
+                self.slab.push(Some(entry));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.inj_queues[s].push_back(slot);
+        self.live_msgs += 1;
+        self.inject_pending += 1;
+        set_bit(&mut self.inj_active, s);
     }
 
     /// XY route from `tile` towards `dst` via the precomputed coordinate

@@ -22,12 +22,12 @@ cargo test -q --workspace
 echo "== cargo test (TCMP_SANITIZE=1: protocol sanitizer armed)"
 TCMP_SANITIZE=1 cargo test -q --workspace
 
+echo "== layerbench tests (the benchmark builds against the program crates' public API)"
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \
+    --manifest-path layerbench/Cargo.toml
+
 echo "== snapshot/restore round-trip smoke"
 cargo test -q --release --test snapshot_restore
-
-echo "== determinism goldens under the epoch scheduler (2 and 4 threads)"
-TCMP_SIM_THREADS=2 cargo test -q --release --test determinism_golden
-TCMP_SIM_THREADS=4 cargo test -q --release --test determinism_golden
 
 echo "== goldens under the sparse directory + multicast codec (non-golden paths sanitizer-clean)"
 cargo test -q --release --test determinism_golden \
@@ -45,13 +45,13 @@ echo "16x16 sparse smoke: completed under the deadline"
 echo "== perf-floor smoke (fullsim_hotspot must clear a coarse throughput floor)"
 # Catches order-of-magnitude scheduler regressions, not percent-level
 # drift: the floor sits far below any healthy machine's throughput
-# (this repo's 1-core reference box does ~1.2M cycles/s). On 1-core
-# containers timing shares the core with everything else, so a miss
-# only warns there; multi-core machines fail hard.
+# (a 2-core Intel Xeon reference host does 0.78-0.98M cycles/s). On
+# 1-core containers timing shares the core with everything else, so a
+# miss only warns there; multi-core machines fail hard.
 PERF_FLOOR=400000
 PERF_JSON="$(mktemp "${TMPDIR:-/tmp}/tcmp-perfsmoke-XXXXXX.json")"
 target/release/fullsim_bench --trials 3 --warmup 1 \
-    --skip-matrix --skip-scaling --skip-mesh --out "$PERF_JSON" >/dev/null
+    --skip-matrix --skip-mesh --out "$PERF_JSON" >/dev/null
 PERF_MEDIAN=$(python3 - "$PERF_JSON" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -71,10 +71,6 @@ if [ "$PERF_MEDIAN" -lt "$PERF_FLOOR" ]; then
 else
     echo "perf-floor smoke: hotspot median $PERF_MEDIAN cycles/s clears floor $PERF_FLOOR"
 fi
-
-echo "== cross-thread determinism + epoch scheduler unit tests"
-cargo test -q --release --test thread_determinism
-RUST_TEST_THREADS=1 cargo test -q --release -p tcmp-core engine::epoch
 
 echo "== forward-progress watchdog unit + livelock tests"
 cargo test -q --release -p tcmp-core engine::watchdog
