@@ -309,8 +309,11 @@ impl CheckpointCache {
 const MAGIC: u32 = u32::from_le_bytes(*b"TCKP");
 
 /// Bump on any change to the on-disk layout; a version mismatch
-/// quarantines the file rather than guessing at its layout.
-const VERSION: u32 = 1;
+/// quarantines the file rather than guessing at its layout. Version 2:
+/// flits carry their destination and size, wire flits a flat input VC,
+/// router credits are `u32`, and per-router occupancy is no longer
+/// stored (it is derived from the buffers at load).
+const VERSION: u32 = 2;
 
 /// Sizing and quarantine bounds of one [`DiskStore`].
 #[derive(Clone, Debug)]

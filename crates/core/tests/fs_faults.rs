@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use addr_compression::CompressionScheme;
 use cmp_common::fsx::{Fs, FsFaultConfig};
-use tcmp_core::supervisor::{run_supervised_cached, warm_key, RunPolicy};
+use tcmp_core::supervisor::{result_to_json, run_supervised_cached, warm_key, RunPolicy};
 use tcmp_core::{
     CheckpointCache, CmpSimulator, DiskConfig, DiskLoad, DiskStore, InterconnectChoice, SimConfig,
 };
@@ -297,6 +297,55 @@ fn hand_corrupted_files_are_quarantined_on_load_and_on_scan() {
     let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).unwrap();
     assert!(!store.contains(&(key.0.clone(), key.1 + 1)));
     assert_eq!(store.quarantine_usage().0, 1);
+}
+
+/// A file in an older on-disk layout (version 1, before flits carried
+/// their destination and size) is never decoded: the restart scan
+/// quarantines it on its header version, the key becomes a plain miss,
+/// and the cell simulates fresh to the cold run's exact result.
+#[test]
+fn older_layout_version_is_quarantined_and_the_cell_runs_fresh() {
+    let root = scratch_dir("oldversion");
+    let cfg = tiny_cfg();
+    let a = app();
+    let key = warm_key(&cfg, &a, SEED, SCALE, WARM);
+    let (cold, _) = run_supervised_cached(cfg.clone(), &a, SEED, SCALE, &policy(), None)
+        .expect("cold run completes");
+    {
+        let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).unwrap();
+        store.store(&key, &warm_snapshot(&cfg));
+    }
+    let path = root.join(format!("{}-{:016x}.ckpt", key.0, key.1));
+    let mut bytes = std::fs::read(&path).expect("read spill");
+    // Header: magic, then the little-endian layout version.
+    let v1 = 1u32.to_le_bytes();
+    assert_ne!(bytes[4..8], v1, "this build writes a newer layout");
+    bytes[4..8].copy_from_slice(&v1);
+    std::fs::write(&path, &bytes).expect("rewrite as version 1");
+
+    let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).unwrap();
+    assert!(
+        !store.contains(&key),
+        "scan must not adopt a version-1 file"
+    );
+    assert_eq!(store.quarantine_usage().0, 1, "artifact preserved");
+    assert!(!path.exists(), "version-1 file removed from the store");
+    let cache = CheckpointCache::with_disk(4, store);
+    let (fresh, warm) = run_supervised_cached(
+        cfg.clone(),
+        &a,
+        SEED,
+        SCALE,
+        &policy(),
+        Some((&cache, WARM)),
+    )
+    .expect("fresh run completes");
+    assert_ne!(warm.label(), "warmed", "nothing may warm from version 1");
+    assert_eq!(
+        result_to_json(&fresh).render(),
+        result_to_json(&cold).render(),
+        "the fresh run is bit-identical to the cold one"
+    );
 }
 
 /// The quarantine is bounded: beyond the configured file count the

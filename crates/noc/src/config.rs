@@ -1,6 +1,7 @@
 //! Network configuration: which physical channels each link provides.
 
 use cmp_common::config::NetworkConfig;
+use cmp_common::geometry::MeshShape;
 use wire_model::link::{Channel, HeterogeneousLinkPlan, BASELINE_LINK_BYTES};
 use wire_model::wires::{VlWidth, WireClass};
 
@@ -61,8 +62,6 @@ pub struct NocConfig {
     pub channels: Vec<ChannelSpec>,
     /// Clock frequency (Hz), for link-cycle conversion.
     pub clock_hz: f64,
-    /// Average switching factor of payload bits (for dynamic energy).
-    pub switching_factor: f64,
 }
 
 impl NocConfig {
@@ -78,7 +77,6 @@ impl NocConfig {
                 router_pipeline_cycles: net.router_pipeline_cycles,
             }],
             clock_hz,
-            switching_factor: 0.5,
         }
     }
 
@@ -109,7 +107,6 @@ impl NocConfig {
                 },
             ],
             clock_hz,
-            switching_factor: 0.5,
         }
     }
 
@@ -142,7 +139,6 @@ impl NocConfig {
                 },
             ],
             clock_hz,
-            switching_factor: 0.5,
         }
     }
 
@@ -156,8 +152,8 @@ impl NocConfig {
         self.channel_index(ChannelKind::Vl).is_some()
     }
 
-    /// Validate invariants.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validate invariants on `mesh`.
+    pub fn validate(&self, mesh: &MeshShape) -> Result<(), String> {
         if self.channels.is_empty() {
             return Err("need at least one channel".into());
         }
@@ -167,16 +163,41 @@ impl NocConfig {
         if !has_wide {
             return Err("a wide carrier channel (B or PW, >= 34 bytes) is mandatory".into());
         }
-        for spec in &self.channels {
-            if spec.virtual_channels == 0 || spec.vc_buffer_flits == 0 {
-                return Err("each channel needs VCs and buffers".into());
-            }
-            if spec.router_pipeline_cycles == 0 {
-                return Err("router pipeline must be at least one stage".into());
-            }
+        self.channels
+            .iter()
+            .try_for_each(|spec| spec.validate(mesh))
+    }
+}
+
+impl ChannelSpec {
+    /// Whether one sub-network of this shape can be built on `mesh`:
+    /// the router model packs a tile id and a flit's bytes into `u16`s,
+    /// a router's input VCs into a `u32` bitmap and ring offsets into
+    /// `u8`s.
+    pub fn validate(&self, mesh: &MeshShape) -> Result<(), String> {
+        if self.virtual_channels == 0 || self.vc_buffer_flits == 0 {
+            return Err("each channel needs VCs and buffers".into());
         }
-        if !(0.0..=1.0).contains(&self.switching_factor) {
-            return Err("switching factor must be in [0,1]".into());
+        if crate::router::PORTS * self.virtual_channels > 32 {
+            return Err(format!(
+                "{} virtual channels exceed the 32 input VCs a router bitmap holds",
+                self.virtual_channels
+            ));
+        }
+        if self.vc_buffer_flits > u8::MAX as usize {
+            return Err("VC buffers hold at most 255 flits".into());
+        }
+        if self.router_pipeline_cycles == 0 {
+            return Err("router pipeline must be at least one stage".into());
+        }
+        if self.channel.width_bytes == 0 || self.channel.width_bytes > u16::MAX as usize {
+            return Err("channel width must be 1..=65535 bytes".into());
+        }
+        if mesh.tiles() > 1 << 16 {
+            return Err(format!(
+                "{} tiles exceed the 65536 a flit can address",
+                mesh.tiles()
+            ));
         }
         Ok(())
     }
@@ -208,7 +229,7 @@ mod tests {
     fn baseline_has_single_75_byte_channel() {
         let cfg = CmpConfig::default();
         let noc = NocConfig::baseline(&cfg.network, cfg.clock_hz);
-        noc.validate().unwrap();
+        noc.validate(&cfg.mesh).unwrap();
         assert_eq!(noc.channels.len(), 1);
         assert_eq!(noc.channels[0].channel.width_bytes, 75);
         assert!(!noc.has_vl());
@@ -220,7 +241,7 @@ mod tests {
     fn heterogeneous_splits_area_neutrally() {
         let cfg = CmpConfig::default();
         let noc = NocConfig::heterogeneous(&cfg.network, cfg.clock_hz, VlWidth::FourBytes);
-        noc.validate().unwrap();
+        noc.validate(&cfg.mesh).unwrap();
         assert_eq!(noc.channels.len(), 2);
         let b = &noc.channels[noc.channel_index(ChannelKind::B).unwrap()];
         let vl = &noc.channels[noc.channel_index(ChannelKind::Vl).unwrap()];
@@ -234,7 +255,7 @@ mod tests {
     fn reply_partitioning_has_l_and_pw_channels() {
         let cfg = CmpConfig::default();
         let noc = NocConfig::reply_partitioning(&cfg.network, cfg.clock_hz);
-        noc.validate().unwrap();
+        noc.validate(&cfg.mesh).unwrap();
         assert_eq!(noc.channels.len(), 2);
         let l = &noc.channels[noc.channel_index(ChannelKind::L).unwrap()];
         let pw = &noc.channels[noc.channel_index(ChannelKind::Pw).unwrap()];
@@ -249,6 +270,30 @@ mod tests {
         let cfg = CmpConfig::default();
         let mut noc = NocConfig::heterogeneous(&cfg.network, cfg.clock_hz, VlWidth::FourBytes);
         noc.channels.remove(0);
-        assert!(noc.validate().is_err());
+        assert!(noc.validate(&cfg.mesh).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_shapes_the_router_model_cannot_hold() {
+        let cfg = CmpConfig::default();
+        let noc = NocConfig::baseline(&cfg.network, cfg.clock_hz);
+        noc.validate(&MeshShape::new(256, 256))
+            .expect("65536 tiles fit");
+        let err = noc.validate(&MeshShape::new(257, 256)).unwrap_err();
+        assert!(err.contains("tiles"), "{err}");
+        let mut wide = noc.clone();
+        wide.channels[0].virtual_channels = 6;
+        wide.validate(&cfg.mesh)
+            .expect("6 VCs fill the 32-bit bitmap");
+        wide.channels[0].virtual_channels = 7;
+        let err = wide.validate(&cfg.mesh).unwrap_err();
+        assert!(err.contains("virtual channels"), "{err}");
+        let mut deep = noc.clone();
+        deep.channels[0].vc_buffer_flits = 256;
+        assert!(deep.validate(&cfg.mesh).is_err());
+        let mut huge = noc.clone();
+        huge.channels[0].channel.width_bytes = 1 << 16;
+        let err = huge.validate(&cfg.mesh).unwrap_err();
+        assert!(err.contains("width"), "{err}");
     }
 }

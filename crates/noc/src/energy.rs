@@ -17,6 +17,10 @@ use cmp_common::units::{Joules, Watts};
 
 use crate::config::NocConfig;
 
+/// Expected fraction of a flit's payload bits that toggle on each link
+/// hop (the activity factor of link dynamic energy).
+pub const LINK_SWITCHING_FACTOR: f64 = 0.5;
+
 /// Per-event router energy constants.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RouterEnergyModel {

@@ -69,7 +69,7 @@ impl<P: Clone> cmp_common::snapshot::Snapshot for Noc<P> {
 impl<P> Noc<P> {
     /// Build the network for `config` on `mesh`.
     pub fn new(mesh: MeshShape, config: NocConfig) -> Self {
-        config.validate().expect("valid NoC config");
+        config.validate(&mesh).expect("valid NoC config");
         let subnets: Vec<SubNet<P>> = config
             .channels
             .iter()

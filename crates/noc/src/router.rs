@@ -37,13 +37,19 @@ pub const LOCAL: usize = 4;
 /// `out_vc` sentinel: no output VC allocated to the head message.
 const NO_OUT: u8 = u8::MAX;
 
-/// One flit. `msg` indexes the sub-network's in-flight message slab.
+/// One flit. `msg` indexes the sub-network's in-flight message slab;
+/// `dst` and `bytes` are copied from the message at injection, so a hop
+/// (routing, energy) never has to load the slab entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// In-flight message slot.
     pub msg: u32,
     /// Position within the message (0 = head).
     pub seq: u32,
+    /// Destination tile of the message.
+    pub dst: u16,
+    /// Payload bytes this flit carries on the channel (≤ its width).
+    pub bytes: u16,
     /// Whether this is the last flit of its message.
     pub tail: bool,
 }
@@ -85,7 +91,7 @@ pub struct RouterArray {
     /// Per output VC: the (input port, input VC) currently sending.
     owner: Vec<Option<(u8, u8)>>,
     /// Per output VC: free buffer slots downstream.
-    credits: Vec<usize>,
+    credits: Vec<u32>,
     /// Per (tile, port): round-robin pointer over flat (input port,
     /// input VC) candidates.
     rr: Vec<u32>,
@@ -106,6 +112,8 @@ impl RouterArray {
             flit: Flit {
                 msg: 0,
                 seq: 0,
+                dst: 0,
+                bytes: 0,
                 tail: false,
             },
             arrived: 0,
@@ -113,9 +121,9 @@ impl RouterArray {
         let credits = (0..vc_count)
             .map(|f| {
                 if (f / vcs) % PORTS == LOCAL {
-                    usize::MAX / 2
+                    u32::MAX / 2
                 } else {
-                    buf_flits
+                    buf_flits as u32
                 }
             })
             .collect();
@@ -151,7 +159,9 @@ impl RouterArray {
     // of these per occupied VC per cycle, and the bounds checks were
     // measurable there. All methods stay in-bounds for every `f <
     // tiles·PORTS·vcs`, which construction guarantees for indices built
-    // through `vc_index`.
+    // through `vc_index`. Coordinates that come from a checkpoint (wire
+    // flit tiles and VCs, flit destinations, allocated output VCs) are
+    // range-checked by the `load_state`s before any tick uses them.
 
     /// Buffered flits in input VC `f`.
     #[inline]
@@ -264,7 +274,7 @@ impl RouterArray {
     #[inline]
     pub fn credits(&self, f: usize) -> usize {
         debug_assert!(f < self.credits.len());
-        unsafe { *self.credits.get_unchecked(f) }
+        unsafe { *self.credits.get_unchecked(f) as usize }
     }
 
     /// Return one credit to output VC `f` (a downstream slot freed).
@@ -305,6 +315,22 @@ impl RouterArray {
             .any(|&n| n > 0)
     }
 
+    /// Input VC `f`'s buffered flits, front to back.
+    fn queue(&self, f: usize) -> impl Iterator<Item = &BufferedFlit> + '_ {
+        (0..self.vc_len(f)).map(move |i| {
+            let mut slot = self.head[f] as usize + i;
+            if slot >= self.depth {
+                slot -= self.depth;
+            }
+            &self.buf[f * self.depth + slot]
+        })
+    }
+
+    /// Every buffered flit, in no particular order (load-time checks).
+    pub(crate) fn buffered(&self) -> impl Iterator<Item = &Flit> + '_ {
+        (0..self.len.len()).flat_map(move |f| self.queue(f).map(|bf| &bf.flit))
+    }
+
     /// Earliest arrival stamp among `tile`'s buffered head flits (for
     /// idle fast-forward).
     pub fn earliest_head_arrival(&self, tile: usize) -> Option<Cycle> {
@@ -317,7 +343,13 @@ impl RouterArray {
 
 use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError, PersistState};
 
-cmp_common::impl_persist!(Flit { msg, seq, tail });
+cmp_common::impl_persist!(Flit {
+    msg,
+    seq,
+    dst,
+    bytes,
+    tail
+});
 cmp_common::impl_persist!(BufferedFlit { flit, arrived });
 
 /// Geometry (tiles × ports × VCs × depth) is configuration; the queues,
@@ -332,17 +364,13 @@ impl PersistState for RouterArray {
         w.usize(self.len.len());
         for f in 0..self.len.len() {
             w.usize(self.vc_len(f));
-            for i in 0..self.vc_len(f) {
-                let mut slot = self.head[f] as usize + i;
-                if slot >= self.depth {
-                    slot -= self.depth;
-                }
-                self.buf[f * self.depth + slot].save(w);
+            for bf in self.queue(f) {
+                bf.save(w);
             }
             self.route[f].save(w);
             w.u8(self.out_vc[f]);
             self.owner[f].save(w);
-            w.usize(self.credits[f]);
+            w.u32(self.credits[f]);
         }
         self.rr.save(w);
     }
@@ -363,9 +391,21 @@ impl PersistState for RouterArray {
                 self.buf[f * self.depth + i] = Persist::load(r)?;
             }
             self.route[f] = Persist::load(r)?;
-            self.out_vc[f] = r.u8()?;
-            self.owner[f] = Persist::load(r)?;
-            self.credits[f] = r.usize()?;
+            let out_vc = r.u8()?;
+            if out_vc != NO_OUT && out_vc as usize >= self.nvc {
+                return Err(r.err("allocated output VC out of range"));
+            }
+            self.out_vc[f] = out_vc;
+            let owner: Option<(u8, u8)> = Persist::load(r)?;
+            if owner.is_some_and(|(p, v)| p as usize >= PORTS || v as usize >= self.nvc) {
+                return Err(r.err("output VC owner out of range"));
+            }
+            self.owner[f] = owner;
+            let credits = r.u32()?;
+            if (f / self.nvc) % PORTS != LOCAL && credits as usize > self.depth {
+                return Err(r.err("output VC credits exceed the downstream buffer depth"));
+            }
+            self.credits[f] = credits;
         }
         let rr: Vec<u32> = Persist::load(r)?;
         if rr.len() != self.rr.len() {
@@ -384,7 +424,13 @@ mod tests {
     use super::*;
 
     fn flit(msg: u32, seq: u32, tail: bool) -> Flit {
-        Flit { msg, seq, tail }
+        Flit {
+            msg,
+            seq,
+            dst: 0,
+            bytes: 1,
+            tail,
+        }
     }
 
     #[test]

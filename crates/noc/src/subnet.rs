@@ -18,9 +18,10 @@ use std::collections::VecDeque;
 
 use cmp_common::geometry::{Direction, MeshShape};
 use cmp_common::types::{Cycle, MessageClass, TileId};
+use cmp_common::units::Joules;
 
 use crate::config::ChannelSpec;
-use crate::energy::{NocEnergy, RouterEnergyModel};
+use crate::energy::{NocEnergy, RouterEnergyModel, LINK_SWITCHING_FACTOR};
 use crate::message::{Delivered, Message};
 use crate::router::{Flit, RouterArray, LOCAL, PORTS};
 use crate::stats::NocStats;
@@ -32,8 +33,6 @@ struct InFlight<P> {
     injected_at: Cycle,
     flits_total: u32,
     flits_ejected: u32,
-    dst: TileId,
-    wire_bytes: usize,
 }
 
 /// A flit travelling on a link.
@@ -41,9 +40,9 @@ struct InFlight<P> {
 struct WireFlit {
     flit: Flit,
     arrival: Cycle,
-    dst_tile: usize,
-    dst_port: usize,
-    vc: usize,
+    dst_tile: u32,
+    /// Flat input VC (`port·nvc + vc`) at the downstream router.
+    fvc: u8,
 }
 
 /// Per-tile injection state: the message currently being serialised into
@@ -129,12 +128,12 @@ pub struct SubNet<P> {
     /// `vc_armed` and `mature_ring` (they depend on the clock, which
     /// `load_state` does not see).
     eligibility_fresh: bool,
-    /// Switch-allocation scratch, hoisted out of the per-tick loop:
-    /// per output port, the eligible (in_port, in_vc) requesters in
-    /// ascending flat order. Bucketing at gather time lets each output
-    /// arbitrate over exactly its own requesters instead of rescanning
-    /// one combined list per port.
-    requesters_scratch: [Vec<(u8, u8)>; PORTS],
+    /// `(port, vc)` of every flat input VC `port·nvc + vc`: the
+    /// allocator's runtime `/ nvc`, `% nvc` as a lookup.
+    vc_coord: [(u8, u8); 32],
+    /// Link dynamic energy of one flit hop, indexed by the flit's bytes
+    /// (`0..=width`).
+    link_energy: Vec<Joules>,
     /// Flits in flight on links. Constant link latency makes this FIFO by
     /// arrival time.
     wire: VecDeque<WireFlit>,
@@ -164,14 +163,23 @@ pub struct SubNet<P> {
 impl<P> SubNet<P> {
     /// Build the sub-network for `spec` on `mesh`.
     pub fn new(spec: ChannelSpec, mesh: MeshShape, clock_hz: f64) -> Self {
+        spec.validate(&mesh).expect("valid channel spec");
         let pipeline_cycles = spec.router_pipeline_cycles;
-        assert!(pipeline_cycles >= 1, "router needs at least one stage");
         let link_cycles = spec.channel.timing(clock_hz).cycles;
         let tiles = mesh.tiles();
-        assert!(
-            PORTS * spec.virtual_channels <= 32,
-            "occupancy bitmap supports at most 32 input VCs per router"
-        );
+        let nvc = spec.virtual_channels;
+        let mut vc_coord = [(0, 0); 32];
+        for port in 0..PORTS {
+            for vc in 0..nvc {
+                vc_coord[port * nvc + vc] = (port as u8, vc as u8);
+            }
+        }
+        let link_energy = (0..=spec.channel.width_bytes)
+            .map(|bytes| {
+                spec.channel
+                    .dyn_energy_for_bytes(bytes, LINK_SWITCHING_FACTOR)
+            })
+            .collect();
         let coords: Vec<(u16, u16)> = (0..tiles)
             .map(|t| {
                 let c = mesh.coord(TileId::from(t));
@@ -206,7 +214,8 @@ impl<P> SubNet<P> {
             vc_armed: vec![0; tiles],
             mature_ring: vec![Vec::new(); pipeline_cycles as usize],
             eligibility_fresh: true,
-            requesters_scratch: Default::default(),
+            vc_coord,
+            link_energy,
             wire: VecDeque::new(),
             inj_queues: (0..tiles).map(|_| VecDeque::new()).collect(),
             inj_progress: vec![None; tiles],
@@ -241,8 +250,6 @@ impl<P> SubNet<P> {
             injected_at: now,
             flits_total,
             flits_ejected: 0,
-            dst: msg.dst,
-            wire_bytes: msg.wire_bytes,
             msg: Some(msg),
         };
         let slot = match self.free_slots.pop() {
@@ -282,19 +289,18 @@ impl<P> SubNet<P> {
 
     /// Arm input VC `fvc` of `tile`: its head flit has cleared the
     /// router pipeline and may arbitrate from cycle `now` on. Computes
-    /// the route on first need (wormhole: cached until the tail
-    /// departs) and wakes the router.
+    /// the route from the head flit on first need (wormhole: cached
+    /// until the tail departs) and wakes the router.
     fn arm_vc(&mut self, tile: usize, fvc: usize, now: Cycle) {
         let f = self.routers.vc_index(tile, 0, 0) + fvc;
         if self.routers.route(f).is_none() {
-            let msg = self
+            let dst = self
                 .routers
                 .front(f)
                 .expect("armed VC holds flits")
                 .flit
-                .msg;
-            let entry = self.slab[msg as usize].as_ref().expect("live");
-            let d = self.route_dir(tile, entry.dst.index());
+                .dst;
+            let d = self.route_dir(tile, dst as usize);
             self.routers.set_route(f, d);
         }
         self.vc_armed[tile] |= 1 << fvc;
@@ -350,10 +356,10 @@ impl<P> SubNet<P> {
     }
 
     /// Bytes of flit `seq` of a `wire_bytes` message on this channel.
-    fn flit_bytes(&self, wire_bytes: usize, seq: u32) -> usize {
+    fn flit_bytes(&self, wire_bytes: usize, seq: u32) -> u16 {
         let w = self.spec.channel.width_bytes;
         let consumed = seq as usize * w;
-        wire_bytes.saturating_sub(consumed).min(w).max(1)
+        wire_bytes.saturating_sub(consumed).min(w).max(1) as u16
     }
 
     /// Advance one cycle. Delivered messages accumulate internally; drain
@@ -386,18 +392,18 @@ impl<P> SubNet<P> {
                 break;
             }
             let wf = self.wire.pop_front().expect("front checked");
-            let f = self.routers.vc_index(wf.dst_tile, wf.dst_port, wf.vc);
+            let (tile, fvc) = (wf.dst_tile as usize, wf.fvc as usize);
+            let f = self.routers.vc_index(tile, 0, 0) + fvc;
             self.routers.push(f, wf.flit, now);
-            self.flits_buffered[wf.dst_tile] += 1;
+            self.flits_buffered[tile] += 1;
             self.buffered_total += 1;
-            let fvc = wf.dst_port * self.spec.virtual_channels + wf.vc;
-            self.vc_occupied[wf.dst_tile] |= 1 << fvc;
-            set_bit(&mut self.router_occupied, wf.dst_tile);
+            self.vc_occupied[tile] |= 1 << fvc;
+            set_bit(&mut self.router_occupied, tile);
             // Only a newly-exposed *head* changes what the switch can
             // do: a push onto a non-empty VC leaves every head flit —
             // hence every arbitration outcome — untouched.
             if self.routers.vc_len(f) == 1 {
-                self.schedule_head(wf.dst_tile, fvc, now + self.pipeline_wait, now);
+                self.schedule_head(tile, fvc, now + self.pipeline_wait, now);
             }
         }
     }
@@ -454,15 +460,15 @@ impl<P> SubNet<P> {
         }
         let entry = self.slab[p.slot as usize].as_ref().expect("live slot");
         let tail = p.next_seq + 1 == entry.flits_total;
-        self.routers.push(
-            f,
-            Flit {
-                msg: p.slot,
-                seq: p.next_seq,
-                tail,
-            },
-            now,
-        );
+        let msg = entry.msg.as_ref().expect("payload present");
+        let flit = Flit {
+            msg: p.slot,
+            seq: p.next_seq,
+            dst: msg.dst.index() as u16,
+            bytes: self.flit_bytes(msg.wire_bytes, p.next_seq),
+            tail,
+        };
+        self.routers.push(f, flit, now);
         self.flits_buffered[tile] += 1;
         self.buffered_total += 1;
         let fvc = LOCAL * self.spec.virtual_channels + p.vc;
@@ -489,8 +495,6 @@ impl<P> SubNet<P> {
     /// Routers whose buffered flits are all still inside the router
     /// pipeline are skipped via `next_ready` — provably no-op cycles.
     fn switch_traversal(&mut self, now: Cycle, rem: &RouterEnergyModel) {
-        let nvc = self.spec.virtual_channels;
-        let candidates = PORTS * nvc;
         for w in 0..self.router_occupied.len() {
             let mut word = self.router_occupied[w];
             while word != 0 {
@@ -499,230 +503,209 @@ impl<P> SubNet<P> {
                 if now < self.next_ready[tile] {
                     continue;
                 }
-                self.traverse_router(now, rem, tile, nvc, candidates);
+                self.traverse_router(now, rem, tile);
             }
         }
     }
 
     /// Switch allocation and traversal at one router (see
     /// [`SubNet::switch_traversal`]).
-    fn traverse_router(
-        &mut self,
-        now: Cycle,
-        rem: &RouterEnergyModel,
-        tile: usize,
-        nvc: usize,
-        candidates: usize,
-    ) {
+    ///
+    /// Requests are bitmasks over the flat input VCs (`port·nvc + vc`),
+    /// one per output port. Outputs arbitrate in ascending port order;
+    /// each grants the first requester, in round-robin order from its
+    /// pointer, whose input port has not sent this cycle and that holds
+    /// (or can allocate) an output VC with a credit. Nothing those
+    /// checks read changes during one output's scan, so the first pass
+    /// is the minimum-round-robin-key grant of a full scan.
+    fn traverse_router(&mut self, now: Cycle, rem: &RouterEnergyModel, tile: usize) {
+        let nvc = self.spec.virtual_channels;
+        let candidates = PORTS * nvc;
         // Flat index of this tile's (port 0, VC 0); every input or
         // output VC of the tile is `base_tile + port·nvc + vc`.
         let base_tile = self.routers.vc_index(tile, 0, 0);
-        // Output directions some eligible flit wants (bit = port index).
-        let mut wanted = 0u8;
-        {
-            // --- gather eligible head flits once per router ---
-            // `vc_armed` already encodes eligibility (non-empty, head
-            // out of the pipeline, route cached — see the field doc), so
-            // the gather is a pure bit scan: no front-flit loads, no
-            // maturity compares. Per-port submasks keep the ascending
-            // flat order of a plain scan while avoiding `/ nvc`,`% nvc`
-            // divides (`nvc` is runtime config, so the compiler cannot
-            // strength-reduce them). Requesters land in their output
-            // port's bucket, in ascending flat order — the order the
-            // combined-list scan would visit them in.
-            let armed = self.vc_armed[tile];
-            if armed == 0 {
-                // Nothing eligible: park until an event (maturation-ring
-                // drain, wire arrival, injection, 0→1 credit return)
-                // arms a VC and lowers `next_ready` again.
-                self.next_ready[tile] = Cycle::MAX;
-                return;
-            }
-            let mut requesters = std::mem::take(&mut self.requesters_scratch);
-            for bucket in &mut requesters {
-                bucket.clear();
-            }
-            for in_port in 0..PORTS {
-                let mut sub = (armed >> (in_port * nvc)) & ((1u32 << nvc) - 1);
-                while sub != 0 {
-                    let in_vc = sub.trailing_zeros() as usize;
-                    sub &= sub - 1;
-                    let f = base_tile + in_port * nvc + in_vc;
-                    let out_dir = self.routers.route(f).expect("armed VC has a cached route");
-                    wanted |= 1 << out_dir.index();
-                    requesters[out_dir.index()].push((in_port as u8, in_vc as u8));
-                }
-            }
-            self.requesters_scratch = requesters;
+        // `vc_armed` already encodes eligibility (non-empty, head out
+        // of the pipeline, route cached — see the field doc), so the
+        // gather is a pure bit scan: no front-flit loads, no maturity
+        // compares.
+        let armed = self.vc_armed[tile];
+        if armed == 0 {
+            // Nothing eligible: park until an event (maturation-ring
+            // drain, wire arrival, injection, 0→1 credit return) arms a
+            // VC and lowers `next_ready` again.
+            self.next_ready[tile] = Cycle::MAX;
+            return;
         }
+        let mut requests = [0u32; PORTS];
+        // Output ports some eligible flit wants (bit = port index).
+        let mut wanted = 0u32;
+        let mut bits = armed;
+        while bits != 0 {
+            let fvc = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let out = self
+                .routers
+                .route(base_tile + fvc)
+                .expect("armed VC has a cached route")
+                .index();
+            requests[out] |= 1 << fvc;
+            wanted |= 1 << out;
+        }
+        // Input VCs whose port has not sent a flit this cycle.
+        let mut free_inputs = u32::MAX;
         let mut grants = 0u32;
-        {
-            let mut input_used = [false; PORTS];
-            for out_dir in Direction::ALL {
-                let out_idx = out_dir.index();
-                if wanted & (1 << out_idx) == 0 {
-                    continue; // no eligible flit heads this way
+        while wanted != 0 {
+            let out_idx = wanted.trailing_zeros() as usize;
+            wanted &= wanted - 1;
+            let downstream = if out_idx == LOCAL {
+                u32::MAX
+            } else {
+                match self.neighbors[tile][out_idx] {
+                    u32::MAX => continue, // mesh edge: no such link
+                    n => n,
                 }
-                let downstream = if out_idx == LOCAL {
-                    None
-                } else {
-                    match self.neighbors[tile][out_idx] {
-                        u32::MAX => continue, // mesh edge: no such link
-                        n => Some(TileId::from(n as usize)),
-                    }
-                };
+            };
 
-                // --- round-robin selection among this port's requests ---
-                let start = self.routers.rr(tile, out_idx);
-                let fout = base_tile + out_idx * nvc; // output VC group base
-                let mut grant: Option<(usize, usize, usize)> = None; // (in_port, in_vc, out_vc)
-                let mut best_key = usize::MAX;
-                for &(in_port, in_vc) in &self.requesters_scratch[out_idx] {
-                    let (in_port, in_vc) = (in_port as usize, in_vc as usize);
-                    if input_used[in_port] {
-                        continue;
-                    }
-                    let flat = in_port * nvc + in_vc;
-                    // `(flat + candidates - start) % candidates` without
-                    // the runtime divide: both terms are < candidates.
-                    let mut key = flat + candidates - start;
-                    if key >= candidates {
-                        key -= candidates;
-                    }
-                    if key >= best_key {
-                        continue;
-                    }
-                    let ovc = match self.routers.out_vc(base_tile + flat) {
-                        Some(v) => v,
-                        None => {
-                            // head flit: allocate the first free output VC
-                            match (0..nvc).find(|&v| self.routers.owner(fout + v).is_none()) {
-                                Some(v) => v,
-                                None => continue,
-                            }
+            // --- round-robin selection among this port's requests ---
+            // Doubling the mask and shifting by the pointer lists the
+            // requesters in round-robin key order as ascending bits.
+            let start = self.routers.rr(tile, out_idx);
+            let fout = base_tile + out_idx * nvc; // output VC group base
+            let reqs = u64::from(requests[out_idx] & free_inputs);
+            let mut order = ((reqs | reqs << candidates) >> start) & ((1 << candidates) - 1);
+            let mut grant: Option<(usize, usize)> = None; // (flat input VC, out_vc)
+            while order != 0 {
+                let mut fvc = start + order.trailing_zeros() as usize;
+                order &= order - 1;
+                if fvc >= candidates {
+                    fvc -= candidates;
+                }
+                let ovc = match self.routers.out_vc(base_tile + fvc) {
+                    Some(v) => v,
+                    None => {
+                        // head flit: allocate the first free output VC
+                        match (0..nvc).find(|&v| self.routers.owner(fout + v).is_none()) {
+                            Some(v) => v,
+                            None => continue,
                         }
-                    };
-                    if self.routers.credits(fout + ovc) == 0 {
-                        continue;
                     }
-                    grant = Some((in_port, in_vc, ovc));
-                    best_key = key;
-                }
-
-                // --- apply the grant ---
-                let Some((in_port, in_vc, ovc)) = grant else {
+                };
+                if self.routers.credits(fout + ovc) == 0 {
                     continue;
-                };
-                let next_rr = in_port * nvc + in_vc + 1;
-                self.routers.set_rr(
-                    tile,
-                    out_idx,
-                    if next_rr == candidates { 0 } else { next_rr },
-                );
-                input_used[in_port] = true;
-                grants += 1;
-                let fin = base_tile + in_port * nvc + in_vc;
-                if self.routers.out_vc(fin).is_none() {
-                    self.routers.set_out_vc(fin, ovc);
                 }
-                let bf = self.routers.pop_after_traversal(fin);
-                // Re-derive the popped VC's armed bit from its new head:
-                // emptied → disarm; same-message head still mature →
-                // stays armed (route untouched); otherwise disarm and
-                // reschedule (immediately if the new head is already
-                // mature — a tail pop resets the route, so re-arming
-                // recomputes it for the next message).
-                let fvc = in_port * nvc + in_vc;
-                if self.routers.vc_len(fin) == 0 {
-                    self.vc_occupied[tile] &= !(1 << fvc);
+                grant = Some((fvc, ovc));
+                break;
+            }
+
+            // --- apply the grant ---
+            let Some((fvc, ovc)) = grant else {
+                continue;
+            };
+            let (in_port, in_vc) = self.vc_coord[fvc];
+            let (in_port, in_vc) = (in_port as usize, in_vc as usize);
+            let next_rr = fvc + 1;
+            self.routers.set_rr(
+                tile,
+                out_idx,
+                if next_rr == candidates { 0 } else { next_rr },
+            );
+            free_inputs &= !(((1 << nvc) - 1) << (in_port * nvc));
+            grants += 1;
+            let fin = base_tile + fvc;
+            if self.routers.out_vc(fin).is_none() {
+                self.routers.set_out_vc(fin, ovc);
+            }
+            let bf = self.routers.pop_after_traversal(fin);
+            // Re-derive the popped VC's armed bit from its new head:
+            // emptied → disarm; same-message head still mature →
+            // stays armed (route untouched); otherwise disarm and
+            // reschedule (immediately if the new head is already
+            // mature — a tail pop resets the route, so re-arming
+            // recomputes it for the next message).
+            if self.routers.vc_len(fin) == 0 {
+                self.vc_occupied[tile] &= !(1 << fvc);
+                self.vc_armed[tile] &= !(1 << fvc);
+            } else {
+                let head_ready =
+                    self.routers.front(fin).expect("non-empty").arrived + self.pipeline_wait;
+                if bf.flit.tail || head_ready > now {
                     self.vc_armed[tile] &= !(1 << fvc);
-                } else {
-                    let head_ready =
-                        self.routers.front(fin).expect("non-empty").arrived + self.pipeline_wait;
-                    if bf.flit.tail || head_ready > now {
-                        self.vc_armed[tile] &= !(1 << fvc);
-                        self.schedule_head(tile, fvc, head_ready, now);
-                    }
+                    self.schedule_head(tile, fvc, head_ready, now);
                 }
-                self.flits_buffered[tile] -= 1;
-                self.buffered_total -= 1;
-                if self.flits_buffered[tile] == 0 {
-                    clear_bit(&mut self.router_occupied, tile);
-                }
-                let flit = bf.flit;
-                let (wire_bytes, flits_total) = {
-                    let e = self.slab[flit.msg as usize].as_ref().expect("live");
-                    (e.wire_bytes, e.flits_total)
-                };
-                debug_assert!(flit.seq < flits_total);
-                let bytes = self.flit_bytes(wire_bytes, flit.seq);
-                self.energy.router_dynamic += rem.flit_energy(bytes);
+            }
+            self.flits_buffered[tile] -= 1;
+            self.buffered_total -= 1;
+            if self.flits_buffered[tile] == 0 {
+                clear_bit(&mut self.router_occupied, tile);
+            }
+            let flit = bf.flit;
+            debug_assert!(self.slab[flit.msg as usize]
+                .as_ref()
+                .is_some_and(|e| flit.seq < e.flits_total));
+            let bytes = flit.bytes as usize;
+            self.energy.router_dynamic += rem.flit_energy(bytes);
 
-                // return the credit upstream (the flit freed a buffer slot)
-                if in_port != LOCAL {
-                    let upstream = self.neighbors[tile][in_port] as usize;
-                    debug_assert_ne!(upstream, u32::MAX as usize, "flit from a real neighbor");
-                    let up_out = OPPOSITE[in_port];
-                    let fu = self.routers.vc_index(upstream, up_out, in_vc);
-                    // A 0→1 credit transition can unblock a parked
-                    // upstream router: wake it (`now`, not `now + 1`,
-                    // so a later-indexed upstream still acts this very
-                    // cycle, exactly like the full scan). A return onto
-                    // a non-empty credit pool cannot change any
-                    // arbitration outcome, so no wake is needed.
-                    if self.routers.credits(fu) == 0 {
-                        self.next_ready[upstream] = self.next_ready[upstream].min(now);
-                    }
-                    self.routers.add_credit(fu);
+            // return the credit upstream (the flit freed a buffer slot)
+            if in_port != LOCAL {
+                let upstream = self.neighbors[tile][in_port] as usize;
+                debug_assert_ne!(upstream, u32::MAX as usize, "flit from a real neighbor");
+                let up_out = OPPOSITE[in_port];
+                let fu = self.routers.vc_index(upstream, up_out, in_vc);
+                // A 0→1 credit transition can unblock a parked
+                // upstream router: wake it (`now`, not `now + 1`,
+                // so a later-indexed upstream still acts this very
+                // cycle, exactly like the full scan). A return onto
+                // a non-empty credit pool cannot change any
+                // arbitration outcome, so no wake is needed.
+                if self.routers.credits(fu) == 0 {
+                    self.next_ready[upstream] = self.next_ready[upstream].min(now);
                 }
+                self.routers.add_credit(fu);
+            }
 
-                if out_idx == LOCAL {
-                    // Ejection.
-                    if flit.is_head() {
-                        self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
-                    }
-                    if flit.tail {
-                        self.routers.set_owner(fout + ovc, None);
-                    }
-                    let entry = self.slab[flit.msg as usize].as_mut().expect("live");
-                    entry.flits_ejected += 1;
-                    if flit.tail {
-                        debug_assert_eq!(entry.flits_ejected, entry.flits_total);
-                        let message = entry.msg.take().expect("payload present");
-                        let injected_at = entry.injected_at;
-                        let msg_bytes = entry.wire_bytes;
-                        self.stats
-                            .record_delivery(message.class, msg_bytes, now - injected_at);
-                        self.slab[flit.msg as usize] = None;
-                        self.free_slots.push(flit.msg);
-                        self.live_msgs -= 1;
-                        self.delivered.push(Delivered {
-                            message,
-                            injected_at,
-                            delivered_at: now,
-                        });
-                    }
-                } else {
-                    // Link traversal towards `downstream`.
-                    if flit.is_head() {
-                        self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
-                    }
-                    self.routers.spend_credit(fout + ovc);
-                    if flit.tail {
-                        self.routers.set_owner(fout + ovc, None);
-                    }
-                    let downstream = downstream.expect("non-local grant has a neighbor");
-                    self.link_flits[tile][out_idx] += 1;
-                    self.wire.push_back(WireFlit {
-                        flit,
-                        arrival: now + self.link_cycles,
-                        dst_tile: downstream.index(),
-                        dst_port: OPPOSITE[out_idx],
-                        vc: ovc,
+            if flit.is_head() {
+                self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
+            }
+            if out_idx == LOCAL {
+                // Ejection.
+                if flit.tail {
+                    self.routers.set_owner(fout + ovc, None);
+                }
+                let entry = self.slab[flit.msg as usize].as_mut().expect("live");
+                entry.flits_ejected += 1;
+                if flit.tail {
+                    debug_assert_eq!(entry.flits_ejected, entry.flits_total);
+                    let message = entry.msg.take().expect("payload present");
+                    let injected_at = entry.injected_at;
+                    self.stats.record_delivery(
+                        message.class,
+                        message.wire_bytes,
+                        now - injected_at,
+                    );
+                    self.slab[flit.msg as usize] = None;
+                    self.free_slots.push(flit.msg);
+                    self.live_msgs -= 1;
+                    self.delivered.push(Delivered {
+                        message,
+                        injected_at,
+                        delivered_at: now,
                     });
-                    self.energy.link_dynamic += self.spec.channel.dyn_energy_for_bytes(bytes, 0.5);
-                    self.stats.record_flit_hop(self.spec.kind);
                 }
+            } else {
+                // Link traversal towards `downstream`.
+                self.routers.spend_credit(fout + ovc);
+                if flit.tail {
+                    self.routers.set_owner(fout + ovc, None);
+                }
+                self.link_flits[tile][out_idx] += 1;
+                self.wire.push_back(WireFlit {
+                    flit,
+                    arrival: now + self.link_cycles,
+                    dst_tile: downstream,
+                    fvc: (OPPOSITE[out_idx] * nvc + ovc) as u8,
+                });
+                self.energy.link_dynamic += self.link_energy[bytes];
+                self.stats.record_flit_hop(self.spec.kind);
             }
         }
         // A round with grants can enable more work next cycle (freed
@@ -868,8 +851,6 @@ impl<P: Persist> Persist for InFlight<P> {
         w.u64(self.injected_at);
         w.u32(self.flits_total);
         w.u32(self.flits_ejected);
-        self.dst.save(w);
-        self.wire_bytes.save(w);
     }
     fn load(r: &mut ByteReader) -> Result<Self, PersistError> {
         Ok(InFlight {
@@ -877,8 +858,6 @@ impl<P: Persist> Persist for InFlight<P> {
             injected_at: r.u64()?,
             flits_total: r.u32()?,
             flits_ejected: r.u32()?,
-            dst: Persist::load(r)?,
-            wire_bytes: Persist::load(r)?,
         })
     }
 }
@@ -887,8 +866,7 @@ cmp_common::impl_persist!(WireFlit {
     flit,
     arrival,
     dst_tile,
-    dst_port,
-    vc,
+    fvc
 });
 
 cmp_common::impl_persist!(InjProgress { slot, vc, next_seq });
@@ -897,12 +875,13 @@ cmp_common::impl_persist!(InjProgress { slot, vc, next_seq });
 /// — router buffers, wire flits, injection queues, the in-flight slab and
 /// the accumulators — is checkpointed. Per-tile vectors load through the
 /// slice helpers, so bytes from a different mesh shape are a structured
-/// error, never a silently resized machine.
+/// error, never a silently resized machine. Occupancy counters are
+/// derived from the restored router buffers, and every tile, VC and slab
+/// reference a tick follows is range-checked at load: a tick indexes
+/// routers unchecked, so an out-of-range reference must fail here.
 impl<P: Persist> PersistState for SubNet<P> {
     fn save_state(&self, w: &mut ByteWriter) {
         self.routers.save_state(w);
-        self.flits_buffered.save(w);
-        self.vc_occupied.save(w);
         self.wire.save(w);
         w.u64(self.inj_queues.len() as u64);
         for q in &self.inj_queues {
@@ -916,22 +895,12 @@ impl<P: Persist> PersistState for SubNet<P> {
         self.delivered.save(w);
         self.energy.save(w);
         self.stats.save_state(w);
-        w.u64(self.buffered_total);
         self.inject_pending.save(w);
     }
     fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
         let tiles = self.mesh.tiles();
+        let nvc = self.spec.virtual_channels;
         self.routers.load_state(r)?;
-        let flits_buffered: Vec<u32> = Persist::load(r)?;
-        if flits_buffered.len() != tiles {
-            return Err(r.err("per-tile flit counts do not match machine shape"));
-        }
-        self.flits_buffered = flits_buffered;
-        let vc_occupied: Vec<u32> = Persist::load(r)?;
-        if vc_occupied.len() != tiles {
-            return Err(r.err("VC occupancy bitmap count does not match machine shape"));
-        }
-        self.vc_occupied = vc_occupied;
         self.wire = Persist::load(r)?;
         let nq = r.len_prefix()?;
         if nq != tiles {
@@ -956,30 +925,89 @@ impl<P: Persist> PersistState for SubNet<P> {
         self.delivered = Persist::load(r)?;
         self.energy = Persist::load(r)?;
         self.stats.load_state(r)?;
-        self.buffered_total = r.u64()?;
         self.inject_pending = Persist::load(r)?;
-        // Cross-checks mirroring the tick()-time debug assertions: corrupt
+        // Cross-check mirroring the tick()-time debug assertion: corrupt
         // counters must surface here, not as a wedged simulation.
-        if self.buffered_total != self.flits_buffered.iter().map(|&n| n as u64).sum::<u64>() {
-            return Err(r.err("buffered-flit total disagrees with per-tile counts"));
-        }
         if self.inject_pending
             != self.inj_queues.iter().map(|q| q.len()).sum::<usize>()
                 + self.inj_progress.iter().filter(|p| p.is_some()).count()
         {
             return Err(r.err("inject-pending counter disagrees with queues"));
         }
-        // Activity caches are derived, not persisted: rebuild them from
-        // the restored occupancy state (next_ready = 0 means "scan", so
-        // a conservative reset is always safe). Eligibility depends on
+        let live = |slot: u32| {
+            self.slab
+                .get(slot as usize)
+                .is_some_and(|e| e.as_ref().is_some_and(|e| e.msg.is_some()))
+        };
+        let mut free = vec![false; self.slab.len()];
+        for &slot in &self.free_slots {
+            match self.slab.get(slot as usize) {
+                Some(None) if !free[slot as usize] => free[slot as usize] = true,
+                _ => return Err(r.err("free list names a live, repeated or missing slab slot")),
+            }
+        }
+        let live_count = self.slab.iter().filter(|e| e.is_some()).count();
+        if self.live_msgs != live_count || self.free_slots.len() + live_count != self.slab.len() {
+            return Err(r.err("live-message counter or free list disagrees with the slab"));
+        }
+        for wf in &self.wire {
+            if wf.dst_tile as usize >= tiles {
+                return Err(r.err("wire flit destination tile out of range"));
+            }
+            if wf.fvc as usize >= PORTS * nvc {
+                return Err(r.err("wire flit input VC out of range"));
+            }
+        }
+        if !self.inj_queues.iter().flatten().all(|&slot| live(slot)) {
+            return Err(r.err("queued message is not a live slab slot"));
+        }
+        for p in self.inj_progress.iter().flatten() {
+            if p.vc >= nvc {
+                return Err(r.err("injection VC out of range"));
+            }
+            if !live(p.slot) {
+                return Err(r.err("injecting message is not a live slab slot"));
+            }
+        }
+        let flits = self
+            .routers
+            .buffered()
+            .chain(self.wire.iter().map(|wf| &wf.flit));
+        for flit in flits {
+            if flit.dst as usize >= tiles {
+                return Err(r.err("flit destination tile out of range"));
+            }
+            if flit.bytes as usize > self.spec.channel.width_bytes {
+                return Err(r.err("flit bytes exceed the channel width"));
+            }
+            if !live(flit.msg) {
+                return Err(r.err("flit message is not a live slab slot"));
+            }
+        }
+        // Occupancy is derived from the restored buffers; the activity
+        // caches are rebuilt from it (next_ready = 0 means "scan", so a
+        // conservative reset is always safe). Eligibility depends on
         // the clock, which this layer does not know — defer it to the
         // first tick (see `rebuild_eligibility`).
         self.router_occupied.fill(0);
         self.inj_active.fill(0);
         self.next_ready.fill(0);
         self.eligibility_fresh = false;
-        for tile in 0..self.mesh.tiles() {
-            if self.flits_buffered[tile] > 0 {
+        self.buffered_total = 0;
+        for tile in 0..tiles {
+            let base = self.routers.vc_index(tile, 0, 0);
+            let (mut occupied, mut buffered) = (0u32, 0u32);
+            for fvc in 0..PORTS * nvc {
+                let len = self.routers.vc_len(base + fvc);
+                if len > 0 {
+                    occupied |= 1 << fvc;
+                    buffered += len as u32;
+                }
+            }
+            self.vc_occupied[tile] = occupied;
+            self.flits_buffered[tile] = buffered;
+            self.buffered_total += u64::from(buffered);
+            if buffered > 0 {
                 set_bit(&mut self.router_occupied, tile);
             }
             if self.inj_progress[tile].is_some() || !self.inj_queues[tile].is_empty() {
@@ -1429,6 +1457,93 @@ mod tests {
                 .load_state(&mut ByteReader::new(&bytes[..cut]))
                 .is_err());
         }
+    }
+
+    #[test]
+    fn out_of_range_references_are_rejected_on_load() {
+        use cmp_common::persist::{ByteReader, ByteWriter, PersistState};
+        let mesh = MeshShape::square(4);
+        let rem = RouterEnergyModel::default();
+        // One single-flit message 0 → 1, ticked until it is on the link.
+        let on_the_wire = || {
+            let mut net: SubNet<u64> = SubNet::new(b_spec(75), mesh, CLOCK);
+            net.inject(0, msg(0, 1, 11));
+            let mut now = 0;
+            while net.wire.is_empty() {
+                net.tick(now, &rem);
+                now += 1;
+            }
+            net
+        };
+        let reload = |net: &SubNet<u64>| {
+            let mut w = ByteWriter::new();
+            net.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut fresh: SubNet<u64> = SubNet::new(b_spec(75), mesh, CLOCK);
+            fresh
+                .load_state(&mut ByteReader::new(&bytes))
+                .map_err(|e| e.to_string())
+        };
+        reload(&on_the_wire()).expect("a clean checkpoint loads");
+        let cases: [(&str, fn(&mut SubNet<u64>)); 11] = [
+            ("wire flit destination tile", |n| {
+                n.wire[0].dst_tile = 1_000_000
+            }),
+            ("wire flit input VC", |n| n.wire[0].fvc = (PORTS * 4) as u8),
+            ("flit destination tile", |n| n.wire[0].flit.dst = 16),
+            ("flit bytes exceed", |n| n.wire[0].flit.bytes = 76),
+            ("not a live slab slot", |n| n.wire[0].flit.msg = 7),
+            ("allocated output VC", |n| {
+                let f = n.routers.vc_index(3, 0, 0);
+                n.routers.set_out_vc(f, 4);
+            }),
+            ("owner out of range", |n| {
+                let f = n.routers.vc_index(3, 0, 0);
+                n.routers.set_owner(f, Some((0, 4)));
+            }),
+            ("credits exceed", |n| {
+                let f = n.routers.vc_index(3, 0, 0);
+                n.routers.add_credit(f);
+            }),
+            ("free list", |n| n.free_slots.push(0)),
+            ("live-message counter", |n| n.live_msgs += 1),
+            ("injection VC", |n| {
+                n.inj_progress[2] = Some(InjProgress {
+                    slot: 0,
+                    vc: 4,
+                    next_seq: 0,
+                });
+                n.inject_pending += 1;
+            }),
+        ];
+        for (want, corrupt) in cases {
+            let mut net = on_the_wire();
+            corrupt(&mut net);
+            let err = reload(&net).expect_err(want);
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        // Buffered flits get the same checks as wire flits.
+        let mut net: SubNet<u64> = SubNet::new(b_spec(75), mesh, CLOCK);
+        net.inject(0, msg(0, 1, 11));
+        net.tick(0, &rem);
+        let f = (0..4)
+            .map(|vc| net.routers.vc_index(0, LOCAL, vc))
+            .find(|&f| net.routers.vc_len(f) == 1)
+            .expect("the injected flit is buffered");
+        let mut bf = net.routers.pop_after_traversal(f);
+        bf.flit.dst = 16;
+        net.routers.push(f, bf.flit, bf.arrived);
+        let err = reload(&net).expect_err("buffered flit off the mesh");
+        assert!(err.contains("flit destination tile"), "{err}");
+    }
+
+    #[test]
+    fn per_hop_structs_stay_small() {
+        use crate::router::BufferedFlit;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Flit>(), 16);
+        assert_eq!(size_of::<BufferedFlit>(), 24);
+        assert_eq!(size_of::<WireFlit>(), 32);
     }
 
     #[test]
